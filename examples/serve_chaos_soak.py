@@ -93,10 +93,7 @@ def main() -> int:
         client = DaemonClient(host="127.0.0.1", port=port, retries=10,
                               jitter_seed=7)
         for index in range(args.deployments):
-            # Long durations keep work in flight through the crash onset.
-            response = client.deploy(
-                APPS[index % len(APPS)], duration=600.0
-            )
+            response = client.deploy(APPS[index % len(APPS)])
             status = response.get("status", "error")
             statuses[status] = statuses.get(status, 0) + 1
         # Let the detector pass the crash onset before reading health.

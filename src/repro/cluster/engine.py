@@ -473,11 +473,7 @@ class ClusterEngine:
 
     def run_until_idle(self, max_seconds: float = 86400.0) -> None:
         """Run until every deployment (and the retry queue) has drained."""
-        waited = 0.0
-        while (self.running or self._retry_queue) and waited < max_seconds:
-            self.tick()
-            waited += self.dt
-        if self.running or self._retry_queue:
+        if not self.drain(max_seconds):
             raise RuntimeError(
                 f"{len(self.running)} deployments still running and "
                 f"{len(self._retry_queue)} queued after {max_seconds} s drain"

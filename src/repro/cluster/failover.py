@@ -51,9 +51,11 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.cluster.engine import CapacityError
+from repro.faults.errors import FaultPlanError
+from repro.faults.plan import FLEET_KINDS, POOL_KINDS
 from repro.workloads.base import MemoryMode, WorkloadProfile
 
-__all__ = ["NodeHealth", "FailoverConfig", "FleetHealthManager"]
+__all__ = ["NodeHealth", "FailoverConfig", "FleetHealthManager", "arm_health"]
 
 
 class NodeHealth(str, enum.Enum):
@@ -463,3 +465,24 @@ class FleetHealthManager:
         self._drain_started_s = data.get("drain_started_s")
         factors = data.get("device_factors", [1.0, 1.0])
         self._device_factors = (float(factors[0]), float(factors[1]))
+
+
+def arm_health(fleet, plan, scheduler=None) -> FleetHealthManager | None:
+    """Check ``plan`` against ``fleet`` and attach its health manager.
+
+    Every node target must exist in the fleet and device-loss windows
+    need a rack pool to derate, so a plan that could never fire fails
+    loudly here.  The manager is attached (and returned) only when the
+    plan has fleet-level windows; otherwise the fleet stays bit-inert.
+    """
+    plan.validate(fleet.n_nodes)
+    kinds = {spec.kind for spec in plan.faults}
+    if fleet.pool is None and kinds & set(POOL_KINDS):
+        raise FaultPlanError(
+            "pool_device_fail windows need a rack pool to derate; "
+            "this fleet has none"
+        )
+    if not kinds & set(FLEET_KINDS):
+        return None
+    fleet.health = FleetHealthManager(plan, scheduler=scheduler)
+    return fleet.health

@@ -430,16 +430,8 @@ class ClusterFleet:
         node's retry queue — draining on ``running`` alone would drop
         them from the trace silently.
         """
-        waited = 0.0
-        while (
-            any(engine.running for engine in self.engines)
-            or self.queued_remote
-            or self.pending_failover
-        ) and waited < max_seconds:
-            self.tick()
-            waited += self.dt
-        still_running = sum(len(engine.running) for engine in self.engines)
-        if still_running or self.queued_remote or self.pending_failover:
+        if not self.drain(max_seconds):
+            still_running = sum(len(engine.running) for engine in self.engines)
             raise RuntimeError(
                 f"{still_running} deployments still running, "
                 f"{self.queued_remote} queued and {self.pending_failover} "
@@ -450,24 +442,24 @@ class ClusterFleet:
         """Best-effort :meth:`run_until_idle` under one fleet clock.
 
         Advances whole fleet ticks until every node is idle (no running
-        deployments, no outage-parked retries) or the deadline passes;
-        returns whether the rack fully drained.  A missed deadline is
-        not an error: the serving daemon checkpoints whatever is still
-        in flight rather than failing its shutdown path.
+        deployments, no outage-parked retries, no pending failovers) or
+        the deadline passes; returns whether the rack fully drained.  A
+        missed deadline is not an error: the serving daemon checkpoints
+        whatever is still in flight rather than failing its shutdown
+        path.
         """
+        def busy() -> bool:
+            return bool(
+                any(engine.running for engine in self.engines)
+                or self.queued_remote
+                or self.pending_failover
+            )
+
         waited = 0.0
-        while (
-            any(engine.running for engine in self.engines)
-            or self.queued_remote
-            or self.pending_failover
-        ) and waited < max_seconds - 1e-9:
+        while busy() and waited < max_seconds - 1e-9:
             self.tick()
             waited += self.dt
-        return not (
-            any(engine.running for engine in self.engines)
-            or self.queued_remote
-            or self.pending_failover
-        )
+        return not busy()
 
     # -- queries -----------------------------------------------------------
     def records(self) -> list[DeploymentRecord]:

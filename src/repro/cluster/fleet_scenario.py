@@ -1,47 +1,38 @@
 """Fleet-level scenario replay: §V-B1 arrivals against a rack.
 
-Reuses :mod:`repro.cluster.scenario`'s arrival generation and replay
-shape (advance-to-arrival, place, drain) but drives a whole
-:class:`~repro.cluster.fleet.ClusterFleet` under its single fleet clock
-— per-engine ``now`` never drifts because only :meth:`ClusterFleet.tick`
-advances time.  Fault plans armed via ``repro.faults.runtime`` apply to
-every node (a rack-fabric event), each node drawing from its own
-deterministic RNG stream; checkpoints reuse the engine serializers from
-:mod:`repro.faults.checkpoint` so a resumed fleet run is bit-identical
-to an uninterrupted one.
+The replay loop, fault arming and checkpoint/resume are shared with the
+single-node :func:`repro.cluster.scenario.run_scenario` (which replays
+a 1-node fleet); this module adds the rack shape — node count and the
+optional shared :class:`~repro.hardware.pool.RemotePoolConfig` — and
+the two-level ``(profile, fleet) -> FleetDecision`` scheduler.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
-from repro import obs
-from repro.cluster.engine import CapacityError, RemoteUnavailableError
 from repro.cluster.fleet import ClusterFleet, FleetDecision
 from repro.cluster.scenario import (
-    Arrival,
     ScenarioConfig,
+    _arm_faults,
+    _fleet_replay,
+    _new_fleet,
+    _resume,
     generate_arrivals,
 )
 from repro.hardware.config import TestbedConfig
 from repro.hardware.pool import RemotePoolConfig
-from repro.workloads.base import MemoryMode, WorkloadProfile
+from repro.workloads.base import WorkloadProfile
 
 __all__ = [
     "FleetScenarioConfig",
     "run_fleet_scenario",
-    "save_fleet_checkpoint",
-    "load_fleet_checkpoint",
     "resume_fleet_scenario",
 ]
 
 #: A fleet scheduler maps (profile, fleet) -> FleetDecision at arrival time.
 FleetScheduler = Callable[[WorkloadProfile, ClusterFleet], FleetDecision]
-
-FLEET_CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -59,77 +50,6 @@ class FleetScenarioConfig:
             raise ValueError("n_nodes must be positive")
 
 
-def _fleet_predictor(scheduler) -> object | None:
-    """Locate the Predictor behind a two-level scheduler, if any."""
-    if scheduler is None:
-        return None
-    direct = getattr(scheduler, "predictor", None)
-    if direct is not None:
-        return direct
-    return getattr(getattr(scheduler, "mode_policy", None), "predictor", None)
-
-
-def _attach_injectors(config: FleetScenarioConfig, fleet: ClusterFleet, scheduler):
-    """One injector per node when a fault plan is armed (replays only)."""
-    if scheduler is None:
-        return None
-    from repro.faults import runtime as faults_runtime
-
-    plan = faults_runtime.current_plan()
-    if plan is None:
-        return None
-    from repro.faults.injector import FaultInjector
-
-    predictor = _fleet_predictor(scheduler)
-    injectors = []
-    for index, engine in enumerate(fleet.engines):
-        injector = FaultInjector(
-            plan, scenario_seed=config.scenario.seed + index
-        )
-        # The (shared) predictor chaos shim is installed once, via the
-        # first node's injector; link/telemetry effects stay per node.
-        injector.attach(engine, predictor=predictor if index == 0 else None)
-        injectors.append(injector)
-    return injectors
-
-
-def _attach_health(fleet: ClusterFleet, plan, scheduler):
-    """Wire the health manager when the plan has fleet-side windows.
-
-    Also cross-validates node targets against the actual fleet shape —
-    a typo'd ``node`` label fails loudly here instead of silently never
-    firing.
-    """
-    from repro.faults.plan import FLEET_KINDS
-
-    if not any(spec.kind in FLEET_KINDS for spec in plan.faults):
-        return None
-    from repro.cluster.failover import FleetHealthManager
-
-    plan.validate(fleet.n_nodes)
-    manager = FleetHealthManager(plan, scheduler=scheduler)
-    fleet.health = manager
-    return manager
-
-
-def _place_on_node(fleet: ClusterFleet, node: int, arrival: Arrival,
-                   mode: MemoryMode) -> bool:
-    """Single-node placement semantics, pinned to one fleet node."""
-    engine = fleet.engines[node]
-    if engine.journey is not None:
-        engine.journey.hop(arrival.profile.name, fleet.now, "placement",
-                           fleet.now, mode=mode.value)
-    try:
-        engine.deploy(arrival.profile, mode, duration_s=arrival.duration_s,
-                      decided_s=fleet.now)
-    except RemoteUnavailableError:
-        engine.queue_remote(arrival.profile, duration_s=arrival.duration_s,
-                            decided_s=fleet.now)
-    except CapacityError:
-        return False
-    return True
-
-
 def run_fleet_scenario(
     config: FleetScenarioConfig,
     scheduler: FleetScheduler | None = None,
@@ -145,205 +65,27 @@ def run_fleet_scenario(
     generator-chosen memory mode and are assigned round-robin across
     nodes — a deterministic, policy-free baseline.  With a scheduler,
     each arrival is placed by the two-level decision (node + mode); a
-    :class:`RemoteUnavailableError` from the chosen node parks the
-    arrival in that node's retry queue, and arrivals that fit nowhere
-    are dropped, mirroring :func:`repro.cluster.scenario.run_scenario`.
+    :class:`~repro.cluster.engine.RemoteUnavailableError` from the
+    chosen node parks the arrival in that node's retry queue, and
+    arrivals that fit nowhere are dropped, exactly as in
+    :func:`repro.cluster.scenario.run_scenario`.
     """
     if fleet is None:
-        base = testbed_config if testbed_config is not None else TestbedConfig(
-            seed=config.scenario.seed
-        )
-        fleet = ClusterFleet(
-            n_nodes=config.n_nodes, testbed_config=base, pool=config.pool
+        fleet = _new_fleet(
+            config.n_nodes, config.scenario.seed, testbed_config, pool=config.pool
         )
     arrivals = generate_arrivals(
         config.scenario, pool=workload_pool, random_modes=scheduler is None
     )
-    injectors = _attach_injectors(config, fleet, scheduler)
-    if injectors:
-        _attach_health(fleet, injectors[0].plan, scheduler)
     return _fleet_replay(
-        config,
+        config.scenario,
         scheduler,
         fleet,
         arrivals,
-        start_index=0,
-        injectors=injectors,
+        injectors=_arm_faults(config.scenario, fleet, scheduler),
         checkpoint_path=checkpoint_path,
         checkpoint_every_s=checkpoint_every_s,
     )
-
-
-def _fleet_replay(
-    config: FleetScenarioConfig,
-    scheduler: FleetScheduler | None,
-    fleet: ClusterFleet,
-    arrivals: list[Arrival],
-    start_index: int = 0,
-    injectors=None,
-    checkpoint_path=None,
-    checkpoint_every_s: float | None = None,
-) -> ClusterFleet:
-    """Drive ``arrivals[start_index:]`` through the fleet (resumable)."""
-    scenario = config.scenario
-    try:
-        with obs.tracer().span(
-            "fleet_scenario",
-            seed=scenario.seed,
-            n_nodes=fleet.n_nodes,
-            duration_s=scenario.duration_s,
-            arrivals=len(arrivals),
-            regime=fleet.pool.config.regime.value if fleet.pool else "none",
-            scheduler=getattr(scheduler, "name", None)
-            or (scheduler.__class__.__name__ if scheduler is not None else "round-robin"),
-        ) if obs.enabled() else obs.NULL_SPAN:
-            last_checkpoint_s = fleet.now
-            for index in range(start_index, len(arrivals)):
-                arrival = arrivals[index]
-                gap = arrival.time - fleet.now
-                if gap > 0:
-                    fleet.run_for(gap)
-                if (
-                    checkpoint_path is not None
-                    and checkpoint_every_s is not None
-                    and fleet.now - last_checkpoint_s >= checkpoint_every_s
-                ):
-                    save_fleet_checkpoint(
-                        checkpoint_path,
-                        config=config,
-                        fleet=fleet,
-                        arrivals_done=index,
-                        injectors=injectors,
-                        policy=scheduler,
-                    )
-                    last_checkpoint_s = fleet.now
-                if fleet.journal is not None:
-                    # Journey hop 1: the arrival enters the fleet queue
-                    # (no node yet — placement picks one next).
-                    fleet.journal.hop(
-                        arrival.profile.name, fleet.now, "queued", fleet.now
-                    )
-                if scheduler is not None:
-                    try:
-                        decision = scheduler(arrival.profile, fleet)
-                    except CapacityError:
-                        continue  # fits nowhere in the fleet: dropped
-                    try:
-                        fleet.deploy(
-                            arrival.profile,
-                            decision,
-                            duration_s=arrival.duration_s,
-                            decided_s=fleet.now,
-                        )
-                    except RemoteUnavailableError:
-                        fleet.engines[decision.node_index].queue_remote(
-                            arrival.profile,
-                            duration_s=arrival.duration_s,
-                            decided_s=fleet.now,
-                        )
-                    except CapacityError:
-                        continue
-                    # Deployed or parked: either way the arrival is now
-                    # the fleet's responsibility (conservation ledger).
-                    fleet.note_submitted()
-                else:
-                    node = index % fleet.n_nodes
-                    mode = arrival.mode if arrival.mode is not None else MemoryMode.LOCAL
-                    if _place_on_node(fleet, node, arrival, mode) or (
-                        _place_on_node(fleet, node, arrival, mode.other)
-                    ):
-                        fleet.note_submitted()
-
-            remaining = scenario.duration_s - fleet.now
-            if remaining > 0:
-                fleet.run_for(remaining)
-            if scenario.drain:
-                fleet.run_until_idle()
-    finally:
-        if injectors:
-            for injector in injectors:
-                injector.detach()
-    return fleet
-
-
-# -- checkpointing -------------------------------------------------------------
-def _pool_config_to_dict(pool: RemotePoolConfig | None) -> dict | None:
-    if pool is None:
-        return None
-    return {
-        "capacity_gb": pool.capacity_gb,
-        "aggregate_bw_gbps": pool.aggregate_bw_gbps,
-        "regime": pool.regime.value,
-    }
-
-
-def _pool_config_from_dict(data: dict | None) -> RemotePoolConfig | None:
-    if data is None:
-        return None
-    return RemotePoolConfig(
-        capacity_gb=data["capacity_gb"],
-        aggregate_bw_gbps=data["aggregate_bw_gbps"],
-        regime=data["regime"],
-    )
-
-
-def save_fleet_checkpoint(
-    path,
-    *,
-    config: FleetScenarioConfig,
-    fleet: ClusterFleet,
-    arrivals_done: int,
-    injectors=None,
-    policy=None,
-) -> Path:
-    """Atomically write a fleet resume point (all nodes + fleet clock)."""
-    from repro.faults.checkpoint import _engine_to_dict, _scenario_to_dict
-    from repro.obs.fsio import atomic_write_text
-
-    policy_state = None
-    if policy is not None and hasattr(policy, "state_dict"):
-        policy_state = policy.state_dict()
-    payload = {
-        "version": FLEET_CHECKPOINT_VERSION,
-        "scenario": _scenario_to_dict(config.scenario),
-        "n_nodes": config.n_nodes,
-        "pool": _pool_config_to_dict(config.pool),
-        "arrivals_done": arrivals_done,
-        "now": fleet.now,
-        "pool_throttled_ticks": fleet.pool_throttled_ticks,
-        "submitted": fleet.submitted,
-        "health": fleet.health.state_dict() if fleet.health is not None else None,
-        "engines": [_engine_to_dict(engine) for engine in fleet.engines],
-        "injectors": (
-            [injector.state_dict() for injector in injectors]
-            if injectors
-            else None
-        ),
-        "policy": policy_state,
-    }
-    return atomic_write_text(path, json.dumps(payload) + "\n")
-
-
-def load_fleet_checkpoint(path) -> dict:
-    """Read and structurally validate a fleet checkpoint file."""
-    from repro.faults.errors import CheckpointError
-
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no fleet checkpoint at {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise CheckpointError(f"corrupt fleet checkpoint {path}: {error}") from None
-    if not isinstance(data, dict) or data.get("version") != FLEET_CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported fleet checkpoint version {data.get('version')!r} "
-            f"(expected {FLEET_CHECKPOINT_VERSION})"
-        )
-    missing = {"scenario", "n_nodes", "arrivals_done", "engines"} - set(data)
-    if missing:
-        raise CheckpointError(f"fleet checkpoint missing fields {sorted(missing)}")
-    return data
 
 
 def resume_fleet_scenario(
@@ -354,90 +96,14 @@ def resume_fleet_scenario(
     checkpoint_path=None,
     checkpoint_every_s: float | None = None,
 ) -> ClusterFleet:
-    """Resume a fleet replay; the completed run is bit-identical.
-
-    The fleet skeleton (per-node testbed configs, pool wiring, fits
-    hooks) is rebuilt from the checkpointed config exactly as
-    :func:`run_fleet_scenario` would, then each node's engine state is
-    restored in place — so counter-noise RNGs, retry queues and traces
-    resume mid-stream.
-    """
-    from repro.cluster.scenario import default_pool
-    from repro.faults.checkpoint import (
-        _engine_from_dict,
-        _scenario_from_dict,
-    )
-
-    data = load_fleet_checkpoint(path)
-    scenario = _scenario_from_dict(data["scenario"])
-    config = FleetScenarioConfig(
-        scenario=scenario,
-        n_nodes=data["n_nodes"],
-        pool=_pool_config_from_dict(data.get("pool")),
-    )
-    pool_profiles = (
-        list(workload_pool) if workload_pool is not None else default_pool()
-    )
-    profiles = {p.name: p for p in pool_profiles}
-    base = testbed_config if testbed_config is not None else TestbedConfig(
-        seed=scenario.seed
-    )
-    fleet = ClusterFleet(
-        n_nodes=config.n_nodes, testbed_config=base, pool=config.pool
-    )
-    for index, saved in enumerate(data["engines"]):
-        # The skeleton engine's testbed config already carries the
-        # per-node seed and pool-derived remote ceiling; adoption
-        # re-applies the fleet wiring (fits hook, node label, journey).
-        engine = _engine_from_dict(
-            saved, fleet.engines[index].testbed.config, profiles
-        )
-        fleet.adopt_engine(index, engine)
-    fleet._now = data["now"]
-    fleet.pool_throttled_ticks = data.get("pool_throttled_ticks", 0)
-    fleet.submitted = int(data.get("submitted", 0))
-
-    injectors = None
-    if data.get("injectors"):
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan
-
-        predictor = _fleet_predictor(scheduler)
-        injectors = []
-        for index, saved in enumerate(data["injectors"]):
-            injector = FaultInjector(
-                FaultPlan.from_dict(saved["plan"]),
-                scenario_seed=saved["scenario_seed"],
-            )
-            injector.attach(
-                fleet.engines[index],
-                predictor=predictor if index == 0 else None,
-            )
-            injector.load_state_dict(saved)
-            injectors.append(injector)
-
-    if injectors:
-        manager = _attach_health(fleet, injectors[0].plan, scheduler)
-        if manager is not None and data.get("health") is not None:
-            manager.load_state_dict(data["health"], profiles)
-
-    if (
-        scheduler is not None
-        and data.get("policy") is not None
-        and hasattr(scheduler, "load_state_dict")
-    ):
-        scheduler.load_state_dict(data["policy"])
-
-    arrivals = generate_arrivals(
-        scenario, pool=workload_pool, random_modes=scheduler is None
-    )
-    return _fleet_replay(
-        config,
+    """Resume a fleet replay from a checkpoint; the completed run is
+    bit-identical to the uninterrupted one."""
+    return _resume(
+        path,
         scheduler,
-        fleet,
-        arrivals,
-        start_index=data["arrivals_done"],
-        injectors=injectors,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every_s=checkpoint_every_s,
+        workload_pool,
+        testbed_config,
+        checkpoint_path,
+        checkpoint_every_s,
+        single_node=False,
     )

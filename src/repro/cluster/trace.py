@@ -117,6 +117,7 @@ class Trace:
                     r.p999_ms,
                     r.mean_slowdown,
                     r.link_traffic_gb,
+                    r.decided_s,
                 )
                 for r in self.records
             ],
@@ -154,6 +155,13 @@ class Trace:
                         p999_ms=float(row[8]),
                         mean_slowdown=float(row[9]),
                         link_traffic_gb=float(row[10]),
+                        # Archives written before decision instants were
+                        # persisted carry 11 columns.
+                        decided_s=(
+                            float(row[11])
+                            if len(row) > 11 and row[11] is not None
+                            else None
+                        ),
                     )
                 )
         return trace

@@ -12,13 +12,12 @@ The subsystem has two halves:
   :class:`CircuitBreaker` over a fallback chain, the feature pipeline
   imputes telemetry gaps, the engine re-queues remote deployments
   during outages, and replays checkpoint/resume crash-safely
-  (``repro.faults.checkpoint``).
+  (``repro.cluster.checkpoint``).
 
 Arm a plan process-wide with :func:`activate` /
 :func:`active_plan`; ``run_scenario`` attaches a fresh injector per
 policy-driven replay while a plan is armed and stays bit-identical when
-none is.  ``repro.faults.checkpoint`` is imported on demand (it pulls
-in the cluster layer).
+none is.
 """
 
 from repro.faults.breaker import CircuitBreaker, CircuitState

@@ -9,12 +9,7 @@ watchdog and crash-safe warm-restart checkpoints.
 """
 
 from repro.serve.client import DaemonClient, DaemonClientError
-from repro.serve.daemon import (
-    DAEMON_CHECKPOINT_VERSION,
-    DaemonConfig,
-    OrchestratorDaemon,
-    load_daemon_checkpoint,
-)
+from repro.serve.daemon import DaemonConfig, OrchestratorDaemon
 from repro.serve.safety import (
     ENVELOPE_VERSION,
     SafetyConfigError,
@@ -26,7 +21,6 @@ from repro.serve.safety import (
 from repro.serve.server import DaemonServer
 
 __all__ = [
-    "DAEMON_CHECKPOINT_VERSION",
     "ENVELOPE_VERSION",
     "DaemonClient",
     "DaemonClientError",
@@ -38,5 +32,4 @@ __all__ = [
     "SafetyEnvelope",
     "SafetyMonitor",
     "SafetyVerdict",
-    "load_daemon_checkpoint",
 ]

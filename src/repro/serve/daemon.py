@@ -35,33 +35,21 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.cluster.checkpoint import load_checkpoint, restore_fleet, save_checkpoint
 from repro.cluster.engine import CapacityError, RemoteUnavailableError
+from repro.cluster.failover import FleetHealthManager, arm_health
 from repro.cluster.fleet import ClusterFleet, FleetDecision, LeastLoadedPlacement
 from repro.cluster.scenario import default_pool
 from repro.faults.breaker import CircuitBreaker, CircuitState
-from repro.faults.checkpoint import (
-    _engine_from_dict,
-    _engine_to_dict,
-    _require,
-)
-from repro.cluster.failover import FleetHealthManager
 from repro.faults.errors import CheckpointError
-from repro.faults.plan import FLEET_KINDS, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.hardware.pool import RemotePoolConfig
-from repro.obs.fsio import atomic_write_text
 from repro.obs.live.slo import SloEngine
 from repro.orchestrator.policies import InterferenceThresholdPolicy
 from repro.serve.safety import SafetyEnvelope, SafetyMonitor
 from repro.workloads.base import MemoryMode, WorkloadKind
 
-__all__ = [
-    "DAEMON_CHECKPOINT_VERSION",
-    "DaemonConfig",
-    "OrchestratorDaemon",
-    "load_daemon_checkpoint",
-]
-
-DAEMON_CHECKPOINT_VERSION = 1
+__all__ = ["DaemonConfig", "OrchestratorDaemon"]
 
 #: Ledger statuses a deployment can still leave (finish matching).
 _OPEN_STATUSES = ("running", "parked")
@@ -132,32 +120,6 @@ class DaemonConfig:
         return cls(**data)
 
 
-def load_daemon_checkpoint(path) -> dict:
-    """Read and structurally validate a daemon checkpoint file."""
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no daemon checkpoint at {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"corrupt daemon checkpoint {path}: {error}"
-        ) from None
-    if not isinstance(data, dict) or (
-        data.get("version") != DAEMON_CHECKPOINT_VERSION
-    ):
-        raise CheckpointError(
-            f"unsupported daemon checkpoint version {data.get('version')!r} "
-            f"(expected {DAEMON_CHECKPOINT_VERSION})"
-        )
-    missing = {"config", "now", "engines", "ledger", "counters"} - set(data)
-    if missing:
-        raise CheckpointError(
-            f"daemon checkpoint missing fields {sorted(missing)}"
-        )
-    return data
-
-
 class OrchestratorDaemon:
     """The serving loop's state machine (transport-agnostic).
 
@@ -198,14 +160,8 @@ class OrchestratorDaemon:
         #: carries fleet-level kinds (node_crash / node_rejoin /
         #: pool_device_fail), so plain daemons stay bit-identical.
         self.health: FleetHealthManager | None = None
-        if self.plan is not None and any(
-            spec.kind in FLEET_KINDS for spec in self.plan.faults
-        ):
-            self.plan.validate(self.fleet.n_nodes)
-            self.health = FleetHealthManager(
-                self.plan, scheduler=self.scheduler
-            )
-            self.fleet.health = self.health
+        if self.plan is not None:
+            self.health = arm_health(self.fleet, self.plan, self.scheduler)
         self.breaker = CircuitBreaker(
             failure_threshold=1,
             cooldown_s=self.config.breaker_cooldown_s,
@@ -441,6 +397,15 @@ class OrchestratorDaemon:
             not isinstance(duration, (int, float)) or duration <= 0
         ):
             return {"ok": False, "error": "duration must be positive"}
+        if duration is not None and profile.kind is not WorkloadKind.INTERFERENCE:
+            return {
+                "ok": False,
+                "error": (
+                    "duration applies only to interference workloads "
+                    f"(ibench-*); {app} is a {profile.kind.value} workload "
+                    "that runs until its work is done"
+                ),
+            }
         decided = self.fleet.now
         try:
             decision = self.scheduler(profile, self.fleet)
@@ -679,69 +644,46 @@ class OrchestratorDaemon:
     # -- checkpointing ---------------------------------------------------------
     def save(self, path) -> Path:
         """Atomically write the daemon checkpoint (crash-safe)."""
-        payload = {
-            "version": DAEMON_CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
-            "envelope": self.envelope.to_dict(),
-            "plan": self.plan.to_dict() if self.plan is not None else None,
-            "now": self.fleet.now,
-            "pool_throttled_ticks": self.fleet.pool_throttled_ticks,
-            "engines": [_engine_to_dict(e) for e in self.fleet.engines],
-            "breaker": self.breaker.state_dict(),
-            "policy": self.scheduler.state_dict(),
-            "safety": self.monitor.state_dict(),
-            "ledger": self.ledger,
-            "next_id": self._next_id,
-            "counters": self.counters,
-            "cleared_wedges": sorted(self._cleared_wedges),
-            "fleet_submitted": self.fleet.submitted,
-            "health": (
-                self.health.state_dict() if self.health is not None else None
-            ),
-        }
-        return atomic_write_text(path, json.dumps(payload) + "\n")
+        return save_checkpoint(
+            path,
+            "daemon",
+            {
+                "config": self.config.to_dict(),
+                "envelope": self.envelope.to_dict(),
+                "plan": self.plan.to_dict() if self.plan is not None else None,
+                "breaker": self.breaker.state_dict(),
+                "safety": self.monitor.state_dict(),
+                "ledger": self.ledger,
+                "next_id": self._next_id,
+                "counters": self.counters,
+                "cleared_wedges": sorted(self._cleared_wedges),
+            },
+            fleet=self.fleet,
+            policy=self.scheduler,
+        )
 
     @classmethod
     def restore(cls, path, clock=time.monotonic) -> "OrchestratorDaemon":
         """Warm-restart a daemon from its checkpoint, bit-identically."""
-        data = load_daemon_checkpoint(path)
-        config = DaemonConfig.from_dict(_require(data, "config", "daemon"))
-        envelope = SafetyEnvelope.from_dict(data.get("envelope") or {})
-        plan = (
-            FaultPlan.from_dict(data["plan"])
-            if data.get("plan") is not None
-            else None
+        data = load_checkpoint(path, "daemon")
+        section = data["daemon"]
+        plan = section["plan"]
+        daemon = cls(
+            DaemonConfig.from_dict(section["config"]),
+            envelope=SafetyEnvelope.from_dict(section["envelope"]),
+            plan=FaultPlan.from_dict(plan) if plan is not None else None,
+            clock=clock,
         )
-        daemon = cls(config, envelope=envelope, plan=plan, clock=clock)
-        engines = _require(data, "engines", "daemon")
-        if len(engines) != daemon.fleet.n_nodes:
-            raise CheckpointError(
-                f"daemon checkpoint has {len(engines)} engines for a "
-                f"{daemon.fleet.n_nodes}-node fleet"
-            )
-        for index, engine_data in enumerate(engines):
-            testbed_config = daemon.fleet.engines[index].testbed.config
-            engine = _engine_from_dict(
-                engine_data, testbed_config, daemon.profiles
-            )
-            daemon.fleet.adopt_engine(index, engine)
-        daemon.fleet._now = _require(data, "now", "daemon")
-        daemon.fleet.pool_throttled_ticks = data.get("pool_throttled_ticks", 0)
-        if data.get("breaker") is not None:
-            daemon.breaker.load_state_dict(data["breaker"])
-        daemon.scheduler.load_state_dict(data.get("policy"))
-        if data.get("safety") is not None:
-            daemon.monitor.load_state_dict(data["safety"])
+        restore_fleet(daemon.fleet, data["fleet"], daemon.profiles)
+        daemon.breaker.load_state_dict(section["breaker"])
+        daemon.scheduler.load_state_dict(data["policy"])
+        daemon.monitor.load_state_dict(section["safety"])
         daemon.ledger = {
-            key: dict(entry)
-            for key, entry in _require(data, "ledger", "daemon").items()
+            key: dict(entry) for key, entry in section["ledger"].items()
         }
-        daemon._next_id = _require(data, "next_id", "daemon")
-        daemon.counters.update(_require(data, "counters", "daemon"))
-        daemon._cleared_wedges = set(data.get("cleared_wedges", []))
-        daemon.fleet.submitted = int(data.get("fleet_submitted", 0))
-        if daemon.health is not None and data.get("health") is not None:
-            daemon.health.load_state_dict(data["health"], daemon.profiles)
+        daemon._next_id = section["next_id"]
+        daemon.counters.update(section["counters"])
+        daemon._cleared_wedges = set(section["cleared_wedges"])
         for entry in daemon.ledger.values():
             if entry["status"] in _OPEN_STATUSES and (
                 entry.get("decided_s") is not None

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+from repro.cluster.checkpoint import load_checkpoint
 from repro.cluster.fleet import FleetDecision, LeastLoadedPlacement
 from repro.cluster.fleet_scenario import (
     FleetScenarioConfig,
-    load_fleet_checkpoint,
     resume_fleet_scenario,
     run_fleet_scenario,
 )
@@ -175,9 +175,9 @@ class TestCheckpoint:
                 checkpoint_path=ckpt,
                 checkpoint_every_s=100.0,
             )
-        data = load_fleet_checkpoint(ckpt)
-        assert data["injectors"] is not None
-        assert len(data["injectors"]) == 3
+        data = load_checkpoint(ckpt, "scenario")
+        assert data["scenario"]["injectors"] is not None
+        assert len(data["scenario"]["injectors"]) == 3
         resumed = resume_fleet_scenario(ckpt, scheduler=scheduler())
         assert_fleets_identical(full, resumed)
 
@@ -189,27 +189,42 @@ class TestCheckpoint:
             checkpoint_path=ckpt,
             checkpoint_every_s=100.0,
         )
-        data = load_fleet_checkpoint(ckpt)
-        assert data["pool"]["regime"] == "shared-segment"
+        data = load_checkpoint(ckpt, "scenario")
+        assert data["scenario"]["pool"]["regime"] == "shared-segment"
         resumed = resume_fleet_scenario(ckpt, scheduler=scheduler())
         assert resumed.pool is not None
         assert resumed.pool.config.regime.value == "shared-segment"
 
     def test_missing_checkpoint_raises(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no fleet checkpoint"):
-            load_fleet_checkpoint(tmp_path / "nope.json")
+        with pytest.raises(CheckpointError, match="no checkpoint"):
+            resume_fleet_scenario(tmp_path / "nope.json", scheduler=scheduler())
 
     def test_wrong_version_raises(self, tmp_path):
         path = tmp_path / "v99.json"
         path.write_text(json.dumps({"version": 99}))
         with pytest.raises(CheckpointError, match="version"):
-            load_fleet_checkpoint(path)
+            resume_fleet_scenario(path, scheduler=scheduler())
 
     def test_missing_fields_raise(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"version": 1, "scenario": {}}))
+        path.write_text(json.dumps(
+            {"version": 2, "fleet": {"clock": 0.0}, "policy": None,
+             "scenario": {}}
+        ))
         with pytest.raises(CheckpointError, match="missing fields"):
-            load_fleet_checkpoint(path)
+            resume_fleet_scenario(path, scheduler=scheduler())
+
+    def test_v1_fleet_payload_rejected(self, tmp_path):
+        """A pre-v2 fleet checkpoint names its version."""
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "version": 1, "scenario": SCENARIO.to_dict(), "n_nodes": 3,
+            "pool": None, "arrivals_done": 4, "now": 120.0,
+            "pool_throttled_ticks": 0, "submitted": 4, "health": None,
+            "engines": [], "injectors": None, "policy": None,
+        }))
+        with pytest.raises(CheckpointError, match="version 1 "):
+            resume_fleet_scenario(path, scheduler=scheduler())
 
 
 class TestStaleFleetPayloads:
@@ -234,15 +249,17 @@ class TestStaleFleetPayloads:
             resume_fleet_scenario(path, scheduler=scheduler())
 
     def test_engine_field_missing(self, ckpt):
-        self.mutate(ckpt, lambda d: d["engines"][0].pop("counter_rng"))
+        self.mutate(ckpt, lambda d: d["fleet"]["engines"][0].pop("counter_rng"))
 
     def test_trace_field_missing(self, ckpt):
-        self.mutate(ckpt, lambda d: d["engines"][1]["trace"].pop("rows"))
+        self.mutate(
+            ckpt, lambda d: d["fleet"]["engines"][1]["trace"].pop("rows")
+        )
 
     def test_record_field_missing(self, ckpt):
         path, data = ckpt
         records = next(
-            e["trace"]["records"] for e in data["engines"]
+            e["trace"]["records"] for e in data["fleet"]["engines"]
             if e["trace"]["records"]
         )
         records[0].pop("runtime_s")

@@ -32,6 +32,20 @@ class TestTracePersistence:
                 else:
                     assert va == vb, field
 
+    def test_archive_without_decision_instants_still_loads(
+        self, trace, tmp_path
+    ):
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        with np.load(path, allow_pickle=True) as archive:
+            fields = dict(archive)
+        assert fields["records"].shape[1] == 12
+        fields["records"] = fields["records"][:, :11]  # older 11-column rows
+        np.savez(path, **fields)
+        restored = Trace.load(path)
+        assert len(restored.records) == len(trace.records)
+        assert all(r.decided_s is None for r in restored.records)
+
     def test_restored_trace_supports_windows(self, trace, tmp_path):
         path = tmp_path / "trace.npz"
         trace.save(path)

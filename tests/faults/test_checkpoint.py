@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.cluster.scenario import ScenarioConfig, run_scenario
-from repro.faults.checkpoint import (
+from repro.cluster.checkpoint import (
     load_checkpoint,
-    resume_scenario,
     save_checkpoint,
+    scenario_section,
 )
+from repro.cluster.fleet import ClusterFleet
+from repro.cluster.scenario import ScenarioConfig, resume_scenario, run_scenario
 from repro.faults.errors import CheckpointError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.runtime import active_plan
@@ -68,36 +69,70 @@ class TestRoundTrip:
                 checkpoint_path=ckpt,
                 checkpoint_every_s=100.0,
             )
-        data = load_checkpoint(ckpt)
-        assert data["injector"] is not None
-        assert data["injector"]["plan"]["seed"] == 21
+        data = load_checkpoint(ckpt, "scenario")
+        [injector] = data["scenario"]["injectors"]
+        assert injector["plan"]["seed"] == 21
         assert data["policy"] is not None
         assert "rng_state" in data["policy"]
-        assert data["arrivals_done"] > 0
+        assert data["scenario"]["arrivals_done"] > 0
+        assert data["scenario"]["n_nodes"] == 1
 
 
 class TestValidation:
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint(tmp_path / "nope.json")
+            load_checkpoint(tmp_path / "nope.json", "scenario")
 
     def test_corrupt_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{truncated")
         with pytest.raises(CheckpointError, match="corrupt"):
-            load_checkpoint(path)
+            load_checkpoint(path, "scenario")
 
     def test_wrong_version_raises(self, tmp_path):
         path = tmp_path / "v99.json"
         path.write_text(json.dumps({"version": 99}))
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+            load_checkpoint(path, "scenario")
 
     def test_missing_fields_raise(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"version": 1, "scenario": {}}))
+        path.write_text(json.dumps(
+            {"version": 2, "fleet": {}, "policy": None, "scenario": {}}
+        ))
         with pytest.raises(CheckpointError, match="missing fields"):
-            load_checkpoint(path)
+            load_checkpoint(path, "scenario")
+
+    def test_missing_section_raises(self, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"version": 2, "fleet": {}, "policy": None}))
+        with pytest.raises(CheckpointError, match="missing sections.*scenario"):
+            load_checkpoint(path, "scenario")
+
+    def test_v1_run_payload_rejected(self, tmp_path):
+        """A pre-v2 single-engine run checkpoint names its version."""
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "version": 1, "scenario": CONFIG.to_dict(), "arrivals_done": 3,
+            "engine": {}, "injector": None, "policy": None,
+        }))
+        with pytest.raises(CheckpointError, match="version 1 "):
+            resume_scenario(path, scheduler=RandomPolicy(seed=5))
+
+    def test_fleet_checkpoint_needs_the_fleet_resume(self, tmp_path):
+        from repro.cluster.fleet_scenario import (
+            FleetScenarioConfig,
+            run_fleet_scenario,
+        )
+
+        ckpt = tmp_path / "fleet.json"
+        run_fleet_scenario(
+            FleetScenarioConfig(scenario=CONFIG, n_nodes=2),
+            checkpoint_path=ckpt,
+            checkpoint_every_s=120.0,
+        )
+        with pytest.raises(CheckpointError, match="2-node fleet"):
+            resume_scenario(ckpt)
 
     def test_unknown_workload_raises(self, tmp_path):
         ckpt = tmp_path / "ckpt.json"
@@ -116,28 +151,31 @@ class TestStalePayloads:
 
     @pytest.fixture()
     def ckpt(self, tmp_path):
-        from repro.cluster.engine import ClusterEngine
         from repro.cluster.scenario import default_pool
-        from repro.hardware import Testbed, TestbedConfig
+        from repro.hardware import TestbedConfig
         from repro.workloads.base import MemoryMode, WorkloadKind
 
         pool = default_pool()
-        engine = ClusterEngine(testbed=Testbed(TestbedConfig(seed=CONFIG.seed)))
+        fleet = ClusterFleet(
+            n_nodes=1, testbed_config=TestbedConfig(seed=CONFIG.seed)
+        )
+        engine = fleet.engines[0]
         ibench = next(
             p for p in pool if p.kind is WorkloadKind.INTERFERENCE
         )
         engine.deploy(ibench, MemoryMode.LOCAL, duration_s=5.0)
-        engine.run_for(10.0)  # -> one finished record
+        fleet.run_for(10.0)  # -> one finished record
         engine.deploy(ibench, MemoryMode.LOCAL, duration_s=1000.0)
         path = save_checkpoint(
             tmp_path / "stale.json",
-            config=CONFIG,
-            engine=engine,
-            arrivals_done=0,
+            "scenario",
+            scenario_section(CONFIG, fleet, arrivals_done=0),
+            fleet=fleet,
         )
         data = json.loads(path.read_text())
-        assert data["engine"]["deployments"], "fixture needs a live deployment"
-        assert data["engine"]["trace"]["records"], "fixture needs a record"
+        [saved] = data["fleet"]["engines"]
+        assert saved["deployments"], "fixture needs a live deployment"
+        assert saved["trace"]["records"], "fixture needs a record"
         return path, data
 
     def mutate(self, ckpt, strip):
@@ -148,41 +186,50 @@ class TestStalePayloads:
             resume_scenario(path, scheduler=RandomPolicy(seed=5))
 
     def test_scenario_field_missing(self, ckpt):
-        self.mutate(ckpt, lambda d: d["scenario"].pop("seed"))
+        self.mutate(ckpt, lambda d: d["scenario"]["config"].pop("seed"))
 
     def test_engine_field_missing(self, ckpt):
-        self.mutate(ckpt, lambda d: d["engine"].pop("counter_rng"))
+        self.mutate(ckpt, lambda d: d["fleet"]["engines"][0].pop("counter_rng"))
 
     def test_deployment_field_missing(self, ckpt):
         self.mutate(
-            ckpt, lambda d: d["engine"]["deployments"][0].pop("app_id")
+            ckpt,
+            lambda d: d["fleet"]["engines"][0]["deployments"][0].pop("app_id"),
         )
 
     def test_record_field_missing(self, ckpt):
         self.mutate(
             ckpt,
-            lambda d: d["engine"]["trace"]["records"][0].pop("finish_time"),
+            lambda d: d["fleet"]["engines"][0]["trace"]["records"][0].pop(
+                "finish_time"
+            ),
         )
 
     def test_trace_field_missing(self, ckpt):
-        self.mutate(ckpt, lambda d: d["engine"]["trace"].pop("times"))
+        self.mutate(
+            ckpt, lambda d: d["fleet"]["engines"][0]["trace"].pop("times")
+        )
 
 
 class TestManualSave:
     def test_save_mid_run_and_resume(self, tmp_path):
         """save_checkpoint is usable outside the scenario loop too."""
-        from repro.cluster.engine import ClusterEngine
-        from repro.hardware import Testbed, TestbedConfig
+        from repro.hardware import TestbedConfig
 
-        engine = ClusterEngine(testbed=Testbed(TestbedConfig(seed=CONFIG.seed)))
-        engine.run_for(10.0)
+        fleet = ClusterFleet(
+            n_nodes=1, testbed_config=TestbedConfig(seed=CONFIG.seed)
+        )
+        fleet.run_for(10.0)
         path = save_checkpoint(
             tmp_path / "manual.json",
-            config=CONFIG,
-            engine=engine,
-            arrivals_done=0,
+            "scenario",
+            scenario_section(CONFIG, fleet, arrivals_done=0),
+            fleet=fleet,
         )
-        data = load_checkpoint(path)
-        assert data["engine"]["now"] == 10.0
-        assert data["injector"] is None
+        data = load_checkpoint(path, "scenario")
+        assert data["fleet"]["clock"] == 10.0
+        assert data["fleet"]["engines"][0]["now"] == 10.0
+        assert data["scenario"]["injectors"] is None
         assert data["policy"] is None
+        resumed = resume_scenario(path)
+        assert resumed.times[-1] >= CONFIG.duration_s

@@ -27,6 +27,28 @@ def assert_traces_identical(a, b) -> None:
             assert same, f"record {ra.app_id} field {key}: {va!r} != {vb!r}"
 
 
+def trace_digest(trace) -> str:
+    """SHA-256 over a trace's times, counter rows, concurrency and records.
+
+    Floats are hashed through ``repr`` (exact, and NaN-aware for the
+    rows telemetry faults corrupt).  Records leave out ``decided_s``:
+    the decision instant is bookkeeping for the audit join, not an
+    outcome of the simulation.
+    """
+    import dataclasses
+    import hashlib
+
+    digest = hashlib.sha256()
+    digest.update(repr(list(trace.times)).encode())
+    digest.update(repr([row.tolist() for row in trace._counter_rows]).encode())
+    digest.update(repr(list(trace.concurrency)).encode())
+    for record in trace.records:
+        fields = dataclasses.asdict(record)
+        fields.pop("decided_s")
+        digest.update(repr(sorted(fields.items())).encode())
+    return digest.hexdigest()
+
+
 def numeric_grad(f, array: np.ndarray, index: tuple, eps: float = 1e-6) -> float:
     """Central-difference derivative of scalar ``f()`` w.r.t. one element."""
     old = array[index]

@@ -5,13 +5,10 @@ import json
 import pytest
 
 from repro import obs
+from repro.cluster.checkpoint import load_checkpoint
 from repro.faults.errors import CheckpointError
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.serve.daemon import (
-    DaemonConfig,
-    OrchestratorDaemon,
-    load_daemon_checkpoint,
-)
+from repro.serve.daemon import DaemonConfig, OrchestratorDaemon
 from repro.serve.safety import SafetyConstraint, SafetyEnvelope
 
 
@@ -74,10 +71,31 @@ class TestRequestHandling:
         assert response["ok"] is False
         assert "unknown workload" in response["error"]
 
+    def test_duration_is_rejected_for_non_interference_apps(self, clock):
+        """``duration`` only bounds interference trashers; BE/LC apps run
+        until their work is done, so the daemon refuses it for them."""
+        daemon = make_daemon(clock)
+        refused = daemon.handle_line(
+            json.dumps({"op": "deploy", "app": "redis", "duration": 50})
+        )
+        assert refused["ok"] is False
+        assert "only to interference workloads" in refused["error"]
+        assert daemon.counters["submitted"] == 0
+        assert daemon.ledger == {}
+        trasher = daemon.handle_line(
+            json.dumps({"op": "deploy", "app": "ibench-memBw", "duration": 5})
+        )
+        assert trasher["ok"] is True
+        daemon.handle_line(json.dumps({"op": "tick", "n": 6}))
+        queried = daemon.handle_line(
+            json.dumps({"op": "query", "id": trasher["id"]})
+        )
+        assert queried["status"] == "finished"
+
     def test_complete_uses_the_natural_finish_path(self, clock):
         daemon = make_daemon(clock)
         deployed = daemon.handle_line(
-            json.dumps({"op": "deploy", "app": "redis", "duration": 500})
+            json.dumps({"op": "deploy", "app": "redis"})
         )
         completing = daemon.handle_line(
             json.dumps({"op": "complete", "id": deployed["id"]})
@@ -299,14 +317,14 @@ class TestCheckpoint:
         assert drains and drains[0]["reason"] == "unit test"
 
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no daemon checkpoint"):
-            load_daemon_checkpoint(tmp_path / "nope.ckpt")
+        with pytest.raises(CheckpointError, match="no checkpoint"):
+            OrchestratorDaemon.restore(tmp_path / "nope.ckpt")
 
     def test_corrupt_json_is_a_checkpoint_error(self, tmp_path):
         path = tmp_path / "d.ckpt"
         path.write_text("{truncated")
         with pytest.raises(CheckpointError, match="corrupt"):
-            load_daemon_checkpoint(path)
+            OrchestratorDaemon.restore(path)
 
     def test_wrong_version_is_a_checkpoint_error(self, clock, tmp_path):
         daemon = make_daemon(clock)
@@ -315,27 +333,56 @@ class TestCheckpoint:
         data["version"] = 99
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="version"):
-            load_daemon_checkpoint(path)
+            OrchestratorDaemon.restore(path)
+
+    def test_v1_daemon_payload_rejected(self, tmp_path):
+        """A pre-v2 daemon checkpoint names its version."""
+        path = tmp_path / "v1.ckpt"
+        path.write_text(json.dumps({
+            "version": 1, "config": DaemonConfig().to_dict(), "now": 3.0,
+            "engines": [], "ledger": {}, "next_id": 0, "counters": {},
+        }))
+        with pytest.raises(CheckpointError, match="version 1 "):
+            OrchestratorDaemon.restore(path)
+
+    def test_scenario_checkpoint_is_not_a_daemon_checkpoint(self, tmp_path):
+        from repro.cluster.scenario import ScenarioConfig, run_scenario
+
+        path = tmp_path / "run.ckpt"
+        run_scenario(
+            ScenarioConfig(duration_s=200.0, spawn_interval=(15.0, 30.0)),
+            checkpoint_path=path, checkpoint_every_s=60.0,
+        )
+        with pytest.raises(CheckpointError, match="missing sections.*daemon"):
+            OrchestratorDaemon.restore(path)
 
     @pytest.mark.parametrize(
-        "missing", ["config", "now", "engines", "ledger", "counters"]
+        "section, missing",
+        [
+            ("daemon", "config"),
+            ("fleet", "clock"),
+            ("fleet", "engines"),
+            ("daemon", "ledger"),
+            ("daemon", "counters"),
+        ],
+        ids=["config", "clock", "engines", "ledger", "counters"],
     )
     def test_stale_payload_names_the_missing_field(
-        self, clock, tmp_path, missing
+        self, clock, tmp_path, section, missing
     ):
         daemon = make_daemon(clock)
         path = daemon.save(tmp_path / "d.ckpt")
         data = json.loads(path.read_text())
-        del data[missing]
+        del data[section][missing]
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match=missing):
-            load_daemon_checkpoint(path)
+            load_checkpoint(path, "daemon")
 
     def test_unknown_config_field_rejected(self, clock, tmp_path):
         daemon = make_daemon(clock)
         path = daemon.save(tmp_path / "d.ckpt")
         data = json.loads(path.read_text())
-        data["config"]["turbo"] = True
+        data["daemon"]["config"]["turbo"] = True
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="turbo"):
             OrchestratorDaemon.restore(path)
@@ -344,7 +391,7 @@ class TestCheckpoint:
         daemon = make_daemon(clock)
         path = daemon.save(tmp_path / "d.ckpt")
         data = json.loads(path.read_text())
-        data["engines"] = data["engines"][:1]
+        data["fleet"]["engines"] = data["fleet"]["engines"][:1]
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="engines"):
             OrchestratorDaemon.restore(path)

@@ -77,18 +77,17 @@ class TestHealthSurface:
 
     def test_query_carries_node_health(self, clock):
         daemon = make_daemon(clock, plan=CRASH)
-        deployed = op(daemon, op="deploy", app="redis", duration=50)
+        deployed = op(daemon, op="deploy", app="redis")
         assert deployed["ok"] is True
         queried = op(daemon, op="query", id=deployed["id"])
         assert queried["node_health"] == "up"
 
 
 class TestCrashSurvival:
-    def _deploy_on(self, daemon, node, duration=60):
+    def _deploy_on(self, daemon, node):
         """Deploy until the scheduler lands one on ``node``."""
         for _ in range(8):
-            response = op(daemon, op="deploy", app="pagerank",
-                          duration=duration)
+            response = op(daemon, op="deploy", app="pagerank")
             assert response["ok"] is True
             if response["node"] == node:
                 return response
@@ -124,7 +123,7 @@ class TestCheckpointWithHealth:
             clock, plan=CRASH,
             checkpoint_path=str(tmp_path / "d.ckpt"),
         )
-        op(daemon, op="deploy", app="redis", duration=50)
+        op(daemon, op="deploy", app="redis")
         tick(daemon, 6)  # checkpoint lands inside the crash window
         first = daemon.save(tmp_path / "first.ckpt")
         restored = OrchestratorDaemon.restore(first, clock=clock)
@@ -136,7 +135,7 @@ class TestCheckpointWithHealth:
 
     def test_restored_daemon_recovers_after_window(self, clock, tmp_path):
         daemon = make_daemon(clock, plan=CRASH)
-        op(daemon, op="deploy", app="redis", duration=50)
+        op(daemon, op="deploy", app="redis")
         tick(daemon, 6)
         path = daemon.save(tmp_path / "mid.ckpt")
         restored = OrchestratorDaemon.restore(path, clock=clock)

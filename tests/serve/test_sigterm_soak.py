@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.checkpoint import load_checkpoint
 from repro.serve.client import DaemonClient
-from repro.serve.daemon import OrchestratorDaemon, load_daemon_checkpoint
+from repro.serve.daemon import OrchestratorDaemon
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 START_TIMEOUT_S = 30.0
@@ -65,7 +66,7 @@ def test_sigterm_drain_parks_everything_and_restarts_warm(tmp_path):
         ids = []
         for index in range(8):
             app = ("redis", "memcached")[index % 2]
-            response = client.deploy(app, duration=3600.0)
+            response = client.deploy(app)
             assert response["ok"] is True, response
             ids.append(response["id"])
         # Finish one through the natural path so the soak covers both
@@ -81,7 +82,7 @@ def test_sigterm_drain_parks_everything_and_restarts_warm(tmp_path):
     assert "serve: drained" in output
 
     # -- nothing lost, nothing double-finished ------------------------------
-    data = load_daemon_checkpoint(ckpt)
+    data = load_checkpoint(ckpt, "daemon")["daemon"]
     statuses = [e["status"] for e in data["ledger"].values()]
     open_or_done = sum(
         statuses.count(s) for s in ("running", "parked", "finished")
